@@ -8,9 +8,10 @@ are real.  One asyncio gateway process
 * serves the actual :class:`~repro.storageplane.StoragePlane` over a
   unix socket (operations from all workers serialize in the event
   loop, exactly where a real storage service would serialize them),
-* dispatches invocations to a pool of ``spawn``-ed worker processes,
-  each running the full :class:`~repro.runtime.local.LocalRuntime`
-  stack against an RPC proxy plane,
+* dispatches invocations to a pool of worker processes forked from
+  the already-loaded gateway (boot in tens of ms), each running the
+  full :class:`~repro.runtime.local.LocalRuntime` stack against an RPC
+  proxy plane,
 * drives the shared clock-agnostic lease machinery
   (:class:`~repro.recovery.lease.LeaseTable`) with wall-clock
   heartbeats, so failure detection latency is measured wall time,
@@ -49,7 +50,6 @@ import asyncio
 import json
 import os
 import signal
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -128,6 +128,10 @@ class _WorkerSlot:
     #: stack and is safe to dispatch to (an INVOKE before that would
     #: interleave with its setup RPCs).
     ready: bool = False
+    ready_at_ms: Optional[float] = None
+    #: The task serving this worker's connection; it ends at the
+    #: worker's EOF, i.e. after its last frame has been absorbed.
+    handler: Optional["asyncio.Task"] = None
     #: Last storage op this worker was sent a RESULT for — the forensic
     #: anchor a SIGKILL dump names ("the worker saw up to here").
     last_acked_op: Optional[str] = None
@@ -382,6 +386,8 @@ class LocalhostComputePlane(ComputePlane):
         self._warmup_ms = 0.0
         self._sockdir: Optional[tempfile.TemporaryDirectory] = None
         self._socket_path = ""
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._conns: Set[asyncio.StreamWriter] = set()
         self.on_request_complete = None
 
     # -- ComputePlane ----------------------------------------------------
@@ -446,11 +452,10 @@ class LocalhostComputePlane(ComputePlane):
 
         self._sockdir = tempfile.TemporaryDirectory(prefix="repro-live-")
         self._socket_path = os.path.join(self._sockdir.name, "gateway.sock")
-        server = await asyncio.start_unix_server(
+        server = self._server = await asyncio.start_unix_server(
             self._handle_connection, path=self._socket_path
         )
         self._write_discovery_file()
-        _ensure_child_pythonpath()
         for _ in range(self.num_workers):
             self._spawn_worker()
 
@@ -613,8 +618,11 @@ class LocalhostComputePlane(ComputePlane):
         span_base = None
         if self.tracer is not None and self.telemetry:
             span_base = self.tracer.reserve_block(WORKER_SPAN_BLOCK)
-        ctx = mp.get_context("spawn")
-        process = ctx.Process(
+        # The child closes its copies of the gateway's sockets first.
+        inherited_fds = [sock.fileno() for sock in self._server.sockets]
+        inherited_fds += [w.get_extra_info("socket").fileno()
+                          for w in self._conns]
+        process = mp.get_context("fork").Process(
             target=worker_main,
             args=(
                 self._socket_path, worker_id, worker_config,
@@ -622,10 +630,12 @@ class LocalhostComputePlane(ComputePlane):
                 self.config.recovery.heartbeat_interval_ms,
                 self.compute_sleep_scale, self.crash_f,
                 self._t0, span_base, self.telemetry,
+                [fd for fd in inherited_fds if fd >= 0],
             ),
             daemon=True,
             name=f"repro-live-worker-{worker_id}",
         )
+        spawned_at_ms = self._now()
         process.start()
         slot = _WorkerSlot(
             worker_id, process,
@@ -637,15 +647,14 @@ class LocalhostComputePlane(ComputePlane):
                 cooldown_ops=self.config.resilience.breaker_cooldown_ops,
             ),
         )
-        slot.spawned_at_ms = self._now()
+        slot.spawned_at_ms = spawned_at_ms
         self._slots[worker_id] = slot
         self._workers_ever += 1
         self.flightrec.record("spawn", worker=worker_id,
                               pid=process.pid or -1,
                               traced=span_base is not None)
-        # The lease clock starts at HELLO, not here: spawn + interpreter
-        # start-up can exceed the lease, and a worker must not be
-        # declared dead before it had a chance to heartbeat.
+        # The lease clock starts at HELLO, not here: a worker must not
+        # be declared dead before it had a chance to heartbeat.
         return slot
 
     async def _shutdown_workers(self) -> None:
@@ -653,6 +662,7 @@ class LocalhostComputePlane(ComputePlane):
             # Answer any worker still parked behind the hold window
             # before telling it to shut down.
             self._coalescer.flush()
+        handlers = []
         for slot in self._slots.values():
             if slot.connected:
                 try:
@@ -660,12 +670,18 @@ class LocalhostComputePlane(ComputePlane):
                     await slot.writer.drain()
                 except (ConnectionError, OSError):
                     pass
+                handlers.append(slot.handler)
+        # A worker ships its final TELEMETRY after SHUTDOWN; its handler
+        # ends at the EOF that follows, once that frame is absorbed.
+        if handlers:
+            await asyncio.wait(handlers, timeout=5.0)
+        # Reap without blocking the loop; kill whatever outlives the grace.
         deadline = time.monotonic() + 5.0
         for slot in self._slots.values():
-            slot.process.join(max(0.1, deadline - time.monotonic()))
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(1.0)
+            while slot.process.is_alive():
+                if time.monotonic() > deadline:
+                    slot.process.kill()
+                await asyncio.sleep(0.005)
 
     # -- tasks -------------------------------------------------------------
 
@@ -673,15 +689,22 @@ class LocalhostComputePlane(ComputePlane):
         request_rng = self.backend.rng.stream("requests")
         arrival_rng = self.backend.rng.stream("arrivals")
         mean_gap_s = 1.0 / rate_per_s if rate_per_s > 0 else 0.0
+        # Absolute due times anchored at the first admission: every
+        # sleep overshoots a little, and relative sleeps would add up
+        # those overshoots and fall ever further behind the schedule.
+        due_ms: Optional[float] = None
         for _ in range(total):
             if self._draining:
                 break
             request = self.workload.next_request(request_rng)
             self._admit(request)
             if mean_gap_s:
-                await asyncio.sleep(
-                    float(arrival_rng.exponential(mean_gap_s))
-                )
+                if due_ms is None:
+                    due_ms = self._now()
+                due_ms += float(arrival_rng.exponential(mean_gap_s)) * 1e3
+                delay_ms = due_ms - self._now()
+                if delay_ms > 0:  # behind schedule: admit at once
+                    await asyncio.sleep(delay_ms / 1e3)
         self._arrivals_done = True
         self._check_done()
 
@@ -821,12 +844,15 @@ class LocalhostComputePlane(ComputePlane):
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._conns.add(writer)
         try:
             await self._serve_worker(reader, writer)
         except asyncio.CancelledError:
             # Loop shutdown cancels open connection handlers; that is
             # the normal end of a drain, not an error to propagate.
             pass
+        finally:
+            self._conns.discard(writer)
 
     async def _serve_worker(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -858,11 +884,13 @@ class LocalhostComputePlane(ComputePlane):
                 if slot is None or slot.declared:
                     break
                 slot.writer = writer
+                slot.handler = asyncio.current_task()
                 self.lease.add_node(slot.worker_id, self._now())
             elif slot is None:
                 break
             elif kind == rpc.READY:
                 slot.ready = True
+                slot.ready_at_ms = self._now()
                 self._idle_event.set()
             elif kind == rpc.HEARTBEAT:
                 self._renew(slot)
@@ -1270,6 +1298,12 @@ class LocalhostComputePlane(ComputePlane):
                 ),
                 "workers": self.num_workers,
                 "workers_spawned": self._workers_ever,
+                # Fork → READY per worker (None: never became ready).
+                "worker_boot_ms": [
+                    (slot.ready_at_ms - slot.spawned_at_ms
+                     if slot.ready_at_ms is not None else None)
+                    for slot in self._slots.values()
+                ],
                 "kills_delivered": (
                     self.chaos.delivered if self.chaos else 0
                 ),
@@ -1303,22 +1337,6 @@ class LocalhostComputePlane(ComputePlane):
             if slot.process.is_alive():
                 slot.process.kill()
         self._slots.clear()
-
-
-def _ensure_child_pythonpath() -> None:
-    """Spawn-ed children must be able to ``import repro``."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    parts = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    if src not in parts:
-        os.environ["PYTHONPATH"] = (
-            src + ((os.pathsep + os.environ["PYTHONPATH"])
-                   if os.environ.get("PYTHONPATH") else "")
-        )
-    # Defensive: some environments run with sys.path entries only.
-    if src not in sys.path:
-        sys.path.insert(0, src)
 
 
 register_backend("localhost", LocalhostComputePlane)

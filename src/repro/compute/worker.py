@@ -1,6 +1,7 @@
 """Live worker process: a real `LocalRuntime` behind a unix socket.
 
-Each worker is one OS process in the localhost compute plane's pool.
+Each worker is one OS process in the localhost compute plane's pool,
+forked from the already-loaded gateway (no interpreter start-up).
 It connects to the gateway, builds the full runtime stack over an RPC
 :class:`~repro.compute.proxy.ProxyPlane` (so every externally visible
 effect lands in the gateway's real storage plane), registers the
@@ -21,12 +22,13 @@ storage service like a real deployment.
 from __future__ import annotations
 
 import importlib
+import os
 import signal
 import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..observe.distributed import (
     ParentRef,
@@ -90,8 +92,9 @@ def worker_main(
     t0: Optional[float] = None,
     span_base: Optional[int] = None,
     telemetry: bool = False,
+    inherited_fds: Sequence[int] = (),
 ) -> None:
-    """Process entry point (multiprocessing ``spawn`` target).
+    """Process entry point (multiprocessing ``fork`` target).
 
     ``t0`` is the gateway's monotonic epoch (``CLOCK_MONOTONIC`` is
     system-wide on Linux, so subtracting it puts worker timestamps on
@@ -100,12 +103,22 @@ def worker_main(
     untraced); ``telemetry`` enables metric/span/flight-recorder
     shipping on the heartbeat cadence.  All three default off, so an
     unobserved run sends exactly the pre-existing frames.
+    ``inherited_fds`` are the gateway's sockets this fork holds copies
+    of.  The child never touches the gateway's inherited loop, storage
+    plane or tracer, and exits by ``os._exit`` (no gateway finalizers).
     """
     from ..runtime.failures import BernoulliCrashes
     from ..runtime.local import LocalRuntime
     from ..runtime.services import ServiceBackend
 
+    # Inherited wiring would route SIGINT/SIGTERM into the gateway's
+    # loop and drain it.  Ctrl-C hits the whole process group and the
+    # gateway's drain ends the workers, so they ignore SIGINT.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, _raise_system_exit)
+    for fd in inherited_fds:
+        os.close(fd)
 
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sock.connect(socket_path)
@@ -262,15 +275,3 @@ def worker_main(
 def _raise_system_exit(signum: int, frame: Any) -> None:
     """SIGTERM → graceful drain (the ``finally`` ships final telemetry)."""
     raise SystemExit(0)
-
-
-def heartbeat_only_main(
-    socket_path: str, worker_id: int, heartbeat_interval_ms: float
-) -> None:
-    """Minimal worker used by tests: heartbeats but serves nothing."""
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.connect(socket_path)
-    conn = GatewayConnection(sock)
-    conn.send((rpc.HELLO, worker_id))
-    stop = threading.Event()
-    _heartbeat_loop(conn, worker_id, heartbeat_interval_ms / 1000.0, stop)

@@ -190,8 +190,8 @@ def run_live(
     table = ExperimentTable(
         f"Live compute plane: {workers} worker processes, "
         f"{kills} SIGKILLs mid-invocation, lease {lease_ms:.0f}ms wall",
-        ["system", "recovery", "completed", "kills", "orphans",
-         "recovered", "detect p50 (ms)", "takeover p50 (ms)",
+        ["system", "recovery", "completed", "boot max (ms)", "kills",
+         "orphans", "recovered", "detect p50 (ms)", "takeover p50 (ms)",
          "median (ms)", "p99 (ms)", "rpc p50 (ms)", "rpc p99 (ms)",
          "violations", "anomalies"],
     )
@@ -209,20 +209,24 @@ def run_live(
         result = point.result
         detect = result.detection_ms
         takeover = result.takeover_ms
+        boots = [ms for ms in result.extras.get("worker_boot_ms", ())
+                 if ms is not None]
+        # Unmeasured (untraced rpc, no kill to detect) is None, not 0.
         table.add_row(
             system,
             PROTOCOL_CLASSES[system].recovery_mode,
             result.completed,
+            max(boots) if boots else None,
             point.kills_delivered,
             result.orphaned_invocations,
             result.recovered_orphans,
-            detect.median() if detect is not None and detect.count else 0.0,
+            detect.median() if detect is not None and detect.count else None,
             (takeover.median()
-             if takeover is not None and takeover.count else 0.0),
+             if takeover is not None and takeover.count else None),
             result.median_ms,
             result.p99_ms,
-            result.extras.get("rpc_p50_ms") or 0.0,
-            result.extras.get("rpc_p99_ms") or 0.0,
+            result.extras.get("rpc_p50_ms"),
+            result.extras.get("rpc_p99_ms"),
             point.violations,
             len(point.consistency_anomalies),
         )

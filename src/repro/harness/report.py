@@ -44,13 +44,8 @@ class ExperimentTable:
         raise KeyError(f"no row matching {match!r}")
 
     def render(self, float_fmt: str = "{:.2f}") -> str:
-        def fmt(value: Any) -> str:
-            if isinstance(value, float):
-                return float_fmt.format(value)
-            return str(value)
-
         cells = [self.headers] + [
-            [fmt(v) for v in row] for row in self.rows
+            [_cell(v, float_fmt) for v in row] for row in self.rows
         ]
         widths = [
             max(len(row[i]) for row in cells)
@@ -70,18 +65,25 @@ class ExperimentTable:
         return "\n".join(lines)
 
     def render_markdown(self, float_fmt: str = "{:.2f}") -> str:
-        def fmt(value: Any) -> str:
-            if isinstance(value, float):
-                return float_fmt.format(value)
-            return str(value)
-
         lines = [f"### {self.name}", ""]
         lines.append("| " + " | ".join(self.headers) + " |")
         lines.append("|" + "|".join("---" for _ in self.headers) + "|")
         for row in self.rows:
-            lines.append("| " + " | ".join(fmt(v) for v in row) + " |")
+            lines.append(
+                "| " + " | ".join(_cell(v, float_fmt) for v in row) + " |"
+            )
         if self.notes:
             lines.append("")
             for note in self.notes:
                 lines.append(f"*{note}*")
         return "\n".join(lines)
+
+
+def _cell(value: Any, float_fmt: str) -> str:
+    """One rendered cell; ``None`` means unmeasured and prints as ``–``,
+    never as a zero."""
+    if value is None:
+        return "–"
+    if isinstance(value, float):
+        return float_fmt.format(value)
+    return str(value)

@@ -31,9 +31,9 @@ runs many.  This module is the bridge that makes a multi-process run
   never collide with the gateway's own or with each other's.
 
 Clocks: workers timestamp spans with the gateway's monotonic epoch
-(``t0`` travels in the spawn args; ``CLOCK_MONOTONIC`` is system-wide
-on Linux), so gateway and worker spans share one timeline without any
-offset fitting.
+(``t0`` travels in the fork's start arguments; ``CLOCK_MONOTONIC`` is
+system-wide on Linux), so gateway and worker spans share one timeline
+without any offset fitting.
 """
 
 from __future__ import annotations
@@ -186,10 +186,19 @@ class WorkerTelemetry:
         with self._lock:
             spans: List[WireSpan] = []
             if self.tracer is not None:
-                for span in list(self.tracer._spans):
+                local = list(self.tracer._spans)
+                # A span ships only with its whole local tree, once the
+                # root (the execute span) has finished: a child shipped
+                # alone is orphaned if a SIGKILL then loses its parent.
+                # Spans are listed in start order, parents first.
+                held: set = set()
+                for span in local:
+                    if span.end_ms is None or span.parent_id in held:
+                        held.add(span.span_id)
+                for span in local:
                     if span.span_id in self._shipped_span_ids:
                         continue
-                    if span.end_ms is None and not final:
+                    if span.span_id in held and not final:
                         continue
                     self._shipped_span_ids.add(span.span_id)
                     spans.append(span_to_wire(span))

@@ -45,6 +45,13 @@ def test_render_markdown(table):
     assert "| boki | 100 | 12.50 |" in md
 
 
+def test_unmeasured_renders_as_dash_not_zero(table):
+    table.add_row("unsafe", 100, None)
+    assert table.column("median (ms)")[-1] is None
+    assert table.render().splitlines()[-1].split() == ["unsafe", "100", "–"]
+    assert "| unsafe | 100 | – |" in table.render_markdown()
+
+
 def test_crossover_ratio_interpolates():
     from repro.harness import crossover_ratio
 

@@ -105,6 +105,21 @@ def test_batches_are_incremental_and_final_ships_open_spans():
     assert final["spans"][0][6] is None  # end_ms: still unfinished
 
 
+def test_batch_ships_children_only_with_their_finished_root():
+    # A heartbeat mid-invocation must not ship the finished rpc spans
+    # alone: a SIGKILL before the next batch would lose their parent.
+    tracer = make_worker_tracer(1 << 20)
+    tel = WorkerTelemetry(tracer, None)
+    root = tracer.start_span("execute:f", CAT_ATTEMPT, 0.0, "t",
+                             parent=ParentRef(7))
+    rpc = root.child("rpc:log.append", CAT_SERVICE, 1.0)
+    rpc.finish(2.0)
+    assert tel.batch(3.0) is None  # nothing shippable yet
+    root.finish(4.0)
+    shipped = [w[1] for w in tel.batch(5.0)["spans"]]
+    assert shipped == [root.span_id, rpc.span_id]
+
+
 def test_batch_ships_flightrec_tail_once():
     rec = FlightRecorder("w", lambda: 0.0)
     tel = WorkerTelemetry(None, None, rec)
